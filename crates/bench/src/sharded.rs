@@ -5,8 +5,8 @@
 //! copies of the Vultr deployment inside a single simulator — under a
 //! list of shard counts and verifies the runs are bit-identical:
 //! identical [`MeshSim::digest`](tango::mesh::MeshSim::digest) (merged
-//! stats + canonical trace hash)
-//! and identical event totals for every shard count. The committed
+//! stats + canonical span-stream hash) and identical event totals for
+//! every shard count. The committed
 //! artifact `results/BENCH_sharded.json` contains **only deterministic
 //! content** (digests, event counts, the identical verdict), so CI can
 //! byte-diff it across machines and `--shards` settings; wall-clock
@@ -14,7 +14,8 @@
 //! the machine, not of the simulation.
 //!
 //! Exits nonzero if any shard count disagrees with the single-shard
-//! reference — that is the determinism gate the suite exists for.
+//! reference — that is the determinism gate the suite exists for — or if
+//! a span ring wrapped (a truncated stream voids the digest).
 
 use crate::util::{fmt, out_dir, print_table};
 use std::path::PathBuf;
@@ -27,9 +28,10 @@ use tango_sim::{ShardLoad, ShardMode};
 /// App-packet spacing of the injected mesh load, simulated time.
 const PACKET_GAP_NS: u64 = 50_000;
 
-/// Trace ring capacity per run (the digest hashes the canonical trace,
-/// so the ring must be big enough to never wrap during the horizon).
-const TRACE_CAPACITY: usize = 1 << 20;
+/// Span ring capacity per shard (the digest hashes the merged span
+/// stream, so the ring must never wrap during the horizon: the default
+/// sweep records ~200k spans).
+const SPAN_CAPACITY: usize = 1 << 20;
 
 /// Options for the shard-scaling sweep.
 pub struct ShardedOptions {
@@ -72,8 +74,10 @@ pub struct ShardRun {
     pub wall_ns: u64,
     /// Simulator events processed.
     pub events: u64,
-    /// Deterministic fingerprint (stats + trace hash).
+    /// Deterministic fingerprint (stats + span-stream hash).
     pub digest: String,
+    /// Did the merged span ring evict anything? (Voids the digest.)
+    pub wrapped: bool,
     /// The engine self-profiler: per-shard window/event/queue/outbox
     /// accounting (deterministic — identical for serial and threaded
     /// runners, so it lives in the byte-diffed artifact).
@@ -87,7 +91,7 @@ pub fn run_one(options: &ShardedOptions, shards: usize) -> ShardRun {
         seed: options.seed,
         shards,
         shard_mode: options.mode,
-        trace_capacity: TRACE_CAPACITY,
+        span_capacity: SPAN_CAPACITY,
     })
     .expect("mesh provisions");
     let mut t = SimTime::from_ms(1);
@@ -101,12 +105,14 @@ pub fn run_one(options: &ShardedOptions, shards: usize) -> ShardRun {
     let started = Instant::now();
     let events = mesh.sim.run_until(horizon);
     let wall_ns = started.elapsed().as_nanos() as u64;
+    let ring = mesh.sim.spans();
     ShardRun {
         shards,
         effective_shards: mesh.sim.shard_count(),
         wall_ns,
         events,
         digest: mesh.digest(),
+        wrapped: ring.total_recorded() > ring.spans().len() as u64,
         load: mesh.sim.shard_load(),
     }
 }
@@ -311,6 +317,13 @@ pub fn report(options: &ShardedOptions) -> i32 {
         );
         return 1;
     }
+    if runs.iter().any(|r| r.wrapped) {
+        eprintln!(
+            "FAIL: a span ring wrapped (capacity {SPAN_CAPACITY}); the digest no \
+             longer covers the whole stream — raise the capacity"
+        );
+        return 1;
+    }
     println!(
         "determinism gate passed: {} shard counts produced identical digests and \
          event totals",
@@ -344,6 +357,7 @@ mod tests {
             .collect();
         assert_eq!(runs[0].digest, runs[1].digest);
         assert_eq!(runs[0].events, runs[1].events);
+        assert!(runs.iter().all(|r| !r.wrapped));
         // The self-profiler accounts for every dispatched event, and its
         // rows are a pure function of (scenario, seed, shard count) —
         // the same partition must report the same loads in any mode.
@@ -371,7 +385,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn profiler_flows_through_a_tango_obs_registry() {
         let options = tiny();

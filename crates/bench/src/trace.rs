@@ -107,10 +107,16 @@ pub fn collect_seed(seed: u64) -> SpanRing {
 /// bit-identical for every value — span keys derive from the engine's
 /// canonical `EventKey`, which partitioning cannot change.
 pub fn collect_seed_sharded(seed: u64, shards: usize) -> SpanRing {
+    run_scenario(seed, shards, SPAN_CAPACITY).spans()
+}
+
+/// Run the scenario to the horizon with a given per-shard engine span
+/// capacity and return the pairing for inspection.
+fn run_scenario(seed: u64, shards: usize, span_capacity: usize) -> TangoPairing {
     let mut pairing = tango::vultr_pairing(PairingOptions {
         seed,
         shards,
-        span_capacity: SPAN_CAPACITY,
+        span_capacity,
         probe_period: Some(PROBE_PERIOD),
         control_period: Some(CONTROL_PERIOD),
         policy_a: Box::new(LowestOwdPolicy::new(500_000.0)),
@@ -132,7 +138,7 @@ pub fn collect_seed_sharded(seed: u64, shards: usize) -> SpanRing {
         t += APP_PERIOD;
     }
     pairing.run_until(HORIZON);
-    pairing.spans()
+    pairing
 }
 
 /// The canonical span dump of a collected ring (the artifact bytes).
@@ -265,10 +271,6 @@ pub fn run_query(spans: &[Span], q: &str) -> Result<(), String> {
 
 /// The `experiments trace` entry point. Returns the process exit code.
 pub fn report(options: &TraceOptions) -> i32 {
-    if cfg!(not(feature = "trace")) {
-        eprintln!("error: `experiments trace` needs the `trace` feature (on by default)");
-        return 2;
-    }
     println!(
         "trace — {SCENARIO}: path 2 dies at {} ms for {} ms; health-gated \
          lowest-OWD both sides, {} ms probes, spans armed; seeds {:?}\n",
@@ -347,7 +349,7 @@ pub fn report(options: &TraceOptions) -> i32 {
     0
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -393,6 +395,51 @@ mod tests {
         let chain = query::ancestry(&spans, transition.key);
         assert!(chain.len() >= 2, "transition must have recorded causes");
         assert_eq!(chain[0].kind.name(), "control");
+    }
+
+    #[test]
+    fn zero_capacity_records_nothing_but_counts() {
+        // A disarmed engine ring keeps no spans, yet the engine still
+        // counts every event, and recording does not perturb the run.
+        let off = run_scenario(1, 1, 0);
+        let on = run_scenario(1, 1, SPAN_CAPACITY);
+        let ring = off.sim.spans();
+        assert!(ring.spans().is_empty());
+        assert_eq!(ring.total_recorded(), 0);
+        let stats = *off.sim.stats();
+        assert!(stats.transmissions > 0 && stats.deliveries > 0);
+        assert_eq!(stats, *on.sim.stats());
+        let tx = on
+            .sim
+            .spans()
+            .spans()
+            .iter()
+            .filter(|s| s.kind.name() == "tx")
+            .count() as u64;
+        assert_eq!(tx, stats.transmissions);
+    }
+
+    #[test]
+    fn ring_keeps_most_recent_in_order() {
+        // A ring too small for the run keeps exactly the newest spans of
+        // the full history, in canonical order, and counts the rest.
+        const SMALL: usize = 64;
+        let full = run_scenario(1, 1, SPAN_CAPACITY).sim.spans();
+        let small = run_scenario(1, 1, SMALL).sim.spans();
+        let all = full.spans();
+        assert!(all.len() > SMALL, "the scenario must wrap the small ring");
+        assert_eq!(small.spans(), all[all.len() - SMALL..].to_vec());
+        assert_eq!(small.total_recorded(), full.total_recorded());
+    }
+
+    #[test]
+    fn merged_reproduces_single_ring_order() {
+        // Per-shard engine rings merge into the single-shard ring.
+        let single = run_scenario(2, 1, SPAN_CAPACITY).sim.spans();
+        let merged = run_scenario(2, 4, SPAN_CAPACITY).sim.spans();
+        assert!(!single.spans().is_empty());
+        assert_eq!(merged.spans(), single.spans());
+        assert_eq!(merged.total_recorded(), single.total_recorded());
     }
 
     #[test]

@@ -26,6 +26,7 @@ use tango_net::{IpCidr, Ipv6Packet, Ipv6Repr};
 use tango_sim::{NetworkSim, Packet, RouterAgent, ShardMode, SimConfig, SimTime};
 use tango_topology::vultr::{vultr_scenario, TENANT_LA, TENANT_NY};
 use tango_topology::{AsId, AsNode, LinkProfile, Topology};
+use tango_trace::export::stream_digest;
 
 /// AS-number stride between replicas (far above every real AS number in
 /// the Vultr scenario, so offset ids never collide).
@@ -45,9 +46,9 @@ pub struct MeshOptions {
     pub shards: usize,
     /// Execution mode for multi-shard runs.
     pub shard_mode: ShardMode,
-    /// Trace ring capacity (0 disables; the digest then covers stats
-    /// only).
-    pub trace_capacity: usize,
+    /// Causal span ring capacity per shard (0 disables; the digest then
+    /// covers stats only).
+    pub span_capacity: usize,
 }
 
 impl Default for MeshOptions {
@@ -57,7 +58,7 @@ impl Default for MeshOptions {
             seed: 1,
             shards: 1,
             shard_mode: ShardMode::Auto,
-            trace_capacity: 0,
+            span_capacity: 0,
         }
     }
 }
@@ -159,7 +160,7 @@ pub fn vultr_replica_mesh(options: &MeshOptions) -> Result<MeshSim, PairingError
         topology.clone(),
         SimConfig {
             seed: options.seed,
-            trace_capacity: options.trace_capacity,
+            span_capacity: options.span_capacity,
             shards: options.shards,
             shard_mode: options.shard_mode,
             ..SimConfig::default()
@@ -209,43 +210,31 @@ impl MeshSim {
     }
 
     /// Deterministic fingerprint of everything observable: the merged
-    /// simulator counters plus an order-sensitive hash of the canonical
-    /// trace. Bit-identical runs ⇒ identical digests, regardless of
-    /// shard count or execution mode.
+    /// simulator counters plus a word-wise hash of the merged span
+    /// stream (the FNV offset basis when span recording is disarmed).
+    /// Bit-identical runs ⇒ identical digests, regardless of shard count
+    /// or execution mode, as long as no span ring wrapped.
     pub fn digest(&self) -> String {
-        let s = self.sim.stats();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for e in self.sim.tracer().events() {
-            mix(e.time.as_ns());
-            mix(u64::from(e.node.0));
-            mix(fnv_str(&format!("{:?}", e.kind)));
-        }
-        format!(
-            "tx={} rx={} loss={} outage={} queue={} noroute={} ttl={} timers={} trace={:016x}",
-            s.transmissions,
-            s.deliveries,
-            s.lost_link,
-            s.lost_outage,
-            s.lost_queue,
-            s.no_route,
-            s.ttl_expired,
-            s.timers,
-            h
-        )
+        traffic_digest(&self.sim)
     }
 }
 
-fn fnv_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The [`MeshSim::digest`] fingerprint of any simulator run (the N-PoP
+/// traffic phase carries the same one).
+pub(crate) fn traffic_digest(sim: &NetworkSim) -> String {
+    let s = sim.stats();
+    format!(
+        "tx={} rx={} loss={} outage={} queue={} noroute={} ttl={} timers={} trace={:016x}",
+        s.transmissions,
+        s.deliveries,
+        s.lost_link,
+        s.lost_outage,
+        s.lost_queue,
+        s.no_route,
+        s.ttl_expired,
+        s.timers,
+        stream_digest(&sim.spans().spans())
+    )
 }
 
 /// Convenience: the mesh analogue of [`crate::vultr_pairing`] defaults,
@@ -259,7 +248,7 @@ pub fn mesh_from_pairing_options(
         seed: options.seed,
         shards: options.shards,
         shard_mode: options.shard_mode,
-        trace_capacity: options.trace_capacity,
+        span_capacity: options.span_capacity,
     })
 }
 
@@ -273,7 +262,7 @@ mod tests {
             seed,
             shards,
             shard_mode: mode,
-            trace_capacity: 4096,
+            span_capacity: 4096,
         })
         .expect("mesh builds");
         let mut t = SimTime::from_ms(1);

@@ -62,9 +62,9 @@ pub struct NPopOptions {
     /// Host packets injected in the traffic phase, spread round-robin
     /// over the PoP pairs in alternating directions (0 skips the phase).
     pub traffic_packets: u32,
-    /// Trace ring capacity for the traffic phase (0 disables; the
-    /// digest then covers counters only).
-    pub trace_capacity: usize,
+    /// Causal span ring capacity per shard for the traffic phase (0
+    /// disables; the digest then covers counters only).
+    pub span_capacity: usize,
 }
 
 impl Default for NPopOptions {
@@ -77,7 +77,7 @@ impl Default for NPopOptions {
             shards: 1,
             shard_mode: ShardMode::Auto,
             traffic_packets: 128,
-            trace_capacity: 0,
+            span_capacity: 0,
         }
     }
 }
@@ -179,7 +179,7 @@ pub struct NPopOutcome {
     /// Total FIB (longest-prefix-match trie) entries installed across
     /// all nodes for the traffic phase.
     pub fib_entries: u64,
-    /// Traffic-phase digest (stats + trace), `""` when the phase was
+    /// Traffic-phase digest (stats + span stream), `""` when the phase was
     /// skipped. Bit-identical across shard counts and execution modes.
     pub traffic_digest: String,
     /// Traffic-phase deliveries.
@@ -445,7 +445,7 @@ pub fn run_npop(options: &NPopOptions) -> Result<NPopOutcome, NPopError> {
             topology.clone(),
             SimConfig {
                 seed: options.seed,
-                trace_capacity: options.trace_capacity,
+                span_capacity: options.span_capacity,
                 shards: options.shards,
                 shard_mode: options.shard_mode,
                 ..SimConfig::default()
@@ -468,31 +468,9 @@ pub fn run_npop(options: &NPopOptions) -> Result<NPopOutcome, NPopError> {
             t += SimTime::from_us(250);
         }
         sim.run_until(SimTime::from_secs(3));
-        let stats = sim.stats();
-        deliveries = stats.deliveries;
-        ttl_expired = stats.ttl_expired;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for e in sim.tracer().events() {
-            mix(e.time.as_ns());
-            mix(u64::from(e.node.0));
-            mix(fnv_str(&format!("{:?}", e.kind)));
-        }
-        traffic_digest = format!(
-            "tx={} rx={} loss={} outage={} queue={} noroute={} ttl={} timers={} trace={:016x}",
-            stats.transmissions,
-            stats.deliveries,
-            stats.lost_link,
-            stats.lost_outage,
-            stats.lost_queue,
-            stats.no_route,
-            stats.ttl_expired,
-            stats.timers,
-            h
-        );
+        deliveries = sim.stats().deliveries;
+        ttl_expired = sim.stats().ttl_expired;
+        traffic_digest = crate::mesh::traffic_digest(&sim);
     }
 
     Ok(NPopOutcome {
@@ -557,15 +535,6 @@ fn send_host_packet(
     sim.schedule_host_packet(time, pops[src], Packet::new(buf));
 }
 
-fn fnv_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,7 +545,7 @@ mod tests {
             pops: 4,
             seed: 7,
             traffic_packets: 32,
-            trace_capacity: 1024,
+            span_capacity: 1024,
             ..NPopOptions::default()
         }
     }

@@ -27,8 +27,7 @@ pub const WALL_CLOCK_EXEMPT_CRATES: &[&str] = &["bench"];
 
 /// Wire-format modules where a silent `as` truncation corrupts bytes on
 /// the wire instead of producing a type error.
-pub const WIRE_FORMAT_MODULES: &[&str] =
-    &["crates/dataplane/src/codec.rs", "crates/bgp/src/wire.rs"];
+pub const WIRE_FORMAT_MODULES: &[&str] = &["crates/dataplane/src/codec.rs"];
 
 /// The approved home of thread creation inside the deterministic
 /// crates: the conservative shard runner, whose cross-thread protocol
@@ -38,8 +37,8 @@ pub const WIRE_FORMAT_MODULES: &[&str] =
 pub const SHARD_RUNNER_MODULES: &[&str] = &["crates/sim/src/shard.rs"];
 
 /// Span-emission modules, where every recorded label must be a
-/// `&'static str`: recording runs per simulation event whenever tracing
-/// is compiled in, so `String`/`format!` allocation is banned there.
+/// `&'static str`: recording runs per simulation event whenever a ring
+/// is armed, so `String`/`format!` allocation is banned there.
 /// The exporters (`export.rs`, `query.rs`) run once per dump and may
 /// build text freely.
 pub const SPAN_EMISSION_MODULES: &[&str] =

@@ -1,13 +1,12 @@
 //! `span-alloc`: no heap-allocated string construction in the span-
 //! emission modules (`tango-trace`'s `span.rs` and `ring.rs`). Span
-//! recording runs on the simulator's per-event path whenever tracing is
-//! compiled in, so every label must be a `&'static str` drawn from the
-//! fixed `SpanKind` vocabulary. A `String` or `format!` there would add
-//! an allocation per event — wrecking the tracing-off/tracing-on
-//! throughput budget — and invite free-form, run-varying text into
-//! artifacts that CI compares byte-for-byte. Exporters (`export.rs`,
-//! `query.rs`) run once per dump, off the hot path, and are out of
-//! scope.
+//! recording runs on the simulator's per-event path whenever a ring is
+//! armed, so every label must be a `&'static str` drawn from the fixed
+//! `SpanKind` vocabulary. A `String` or `format!` there would add an
+//! allocation per event — wrecking the armed-run throughput budget —
+//! and invite free-form, run-varying text into artifacts that CI
+//! compares byte-for-byte. Exporters (`export.rs`, `query.rs`) run once
+//! per dump, off the hot path, and are out of scope.
 
 use crate::config;
 use crate::diagnostics::Diagnostic;

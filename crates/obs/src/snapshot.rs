@@ -6,9 +6,6 @@
 //! serialise to byte-identical text on every platform, which is what
 //! lets CI diff `results/TELEMETRY_*.json` across runs and worker
 //! counts, and what makes golden-trace tests a plain byte comparison.
-//!
-//! This module is always compiled (it has no atomics), so the `enabled`
-//! feature only gates whether anything *produces* non-empty snapshots.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -65,8 +62,7 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// True when nothing was ever recorded (the no-op registry's
-    /// permanent state).
+    /// True when nothing was ever recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }

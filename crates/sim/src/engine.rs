@@ -22,12 +22,12 @@
 //! The node table is partitioned into contiguous shards (see
 //! `crate::shard`), each owning its nodes, their outgoing links, a private
 //! heap+staged event queue, per-node RNG streams, and per-shard stats and
-//! trace rings. Shards advance in lockstep conservative windows whose
+//! span rings. Shards advance in lockstep conservative windows whose
 //! width is the minimum cross-shard link latency; cross-shard deliveries
 //! travel through per-shard outboxes exchanged at window barriers. Every
 //! event carries a canonical `EventKey` `(time, origin, seq)` that is a
 //! function of stable identities only, so any shard count — and serial
-//! vs. threaded execution — produces bit-identical stats, traces, and
+//! vs. threaded execution — produces bit-identical stats, spans, and
 //! telemetry. The determinism argument is written out in DESIGN.md §11.
 
 use crate::clock::NodeClock;
@@ -35,7 +35,6 @@ use crate::fault::{FaultDecision, FaultInjector};
 use crate::hash::{flow_hash, mix64};
 use crate::shard::{self, Partition, ShardMode};
 use crate::time::SimTime;
-use crate::trace::{TraceEvent, TraceKind, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::Cell;
@@ -393,8 +392,8 @@ pub(crate) struct QueuedEvent {
     pub(crate) key: EventKey,
     /// The span key of the dispatch that scheduled this event
     /// ([`SpanKey::NONE`] for externally scheduled roots). Plain data —
-    /// it rides along even with the `trace` feature off, so the causal
-    /// link survives shard outbox handoffs unconditionally.
+    /// it rides along whether or not span recording is armed, so the
+    /// causal link survives shard outbox handoffs unconditionally.
     pub(crate) parent: SpanKey,
     pub(crate) kind: EventKind,
 }
@@ -421,8 +420,6 @@ impl Ord for QueuedEvent {
 pub struct SimConfig {
     /// RNG seed: same seed + same schedule ⇒ identical run.
     pub seed: u64,
-    /// Trace ring capacity (0 disables tracing).
-    pub trace_capacity: usize,
     /// Causal span ring capacity per shard (0 disables span recording).
     /// Sized generously (never wrapping) the merged stream is exactly
     /// the single-shard stream; wrapped it degrades into a flight
@@ -448,7 +445,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             seed: 1,
-            trace_capacity: 0,
             span_capacity: 0,
             fault: None,
             obs: None,
@@ -654,7 +650,6 @@ pub struct Ctx<'a> {
     rng: &'a mut StdRng,
     fault: Option<FaultInjector>,
     stats: &'a mut SimStats,
-    tracer: &'a mut Tracer,
     spans: &'a mut SpanRing,
     /// The span key of the dispatch currently executing: the parent
     /// carried by every event this dispatch schedules, and of every
@@ -719,14 +714,6 @@ impl<'a> Ctx<'a> {
         self.pool.put(pkt.into_buffer());
     }
 
-    fn trace(&mut self, kind: TraceKind) {
-        self.tracer.record(TraceEvent {
-            time: self.now,
-            node: self.node,
-            kind,
-        });
-    }
-
     /// Record a causal span on this node, parented to the current
     /// dispatch's span. Returns its key ([`SpanKey::NONE`] when span
     /// recording is disarmed). The Tango data plane uses this for
@@ -767,18 +754,15 @@ impl<'a> Ctx<'a> {
             .and_then(|to_idx| links.lookup(self.node_idx, to_idx).map(|l| (to_idx, l)));
         let Some((to_idx, link_id)) = link_id else {
             self.stats.no_link += 1;
-            self.trace(TraceKind::NoLink);
             self.span_drop(DropReason::NoLink);
             self.pool.put(pkt.into_buffer());
             return;
         };
         let profile = &links.profiles[link_id as usize]; // tango-lint: allow(hot-path-panic) link_id is a dense id minted by LinkTable::build
         self.stats.transmissions += 1;
-        self.trace(TraceKind::Tx { to });
         self.spans.record(self.node.0, SpanKind::Tx { to: to.0 });
         if profile.sample_loss(self.rng) {
             self.stats.lost_link += 1;
-            self.trace(TraceKind::LossLink);
             self.span_drop(DropReason::LossLink);
             self.pool.put(pkt.into_buffer());
             return;
@@ -792,7 +776,6 @@ impl<'a> Ctx<'a> {
                 Some(d) => shift += d,
                 None => {
                     self.stats.lost_outage += 1;
-                    self.trace(TraceKind::LossOutage);
                     self.span_drop(DropReason::LossOutage);
                     self.pool.put(pkt.into_buffer());
                     return;
@@ -803,14 +786,12 @@ impl<'a> Ctx<'a> {
             match f.apply(self.rng, pkt.bytes_mut()) {
                 FaultDecision::Drop => {
                     self.stats.lost_fault += 1;
-                    self.trace(TraceKind::LossFault);
                     self.span_drop(DropReason::LossFault);
                     self.pool.put(pkt.into_buffer());
                     return;
                 }
                 FaultDecision::Corrupted => {
                     self.stats.corrupted += 1;
-                    self.trace(TraceKind::Corrupt);
                 }
                 FaultDecision::Pass => {}
             }
@@ -828,7 +809,6 @@ impl<'a> Ctx<'a> {
             let wait = start - now_ns;
             if wait > profile.max_queue_ns {
                 self.stats.lost_queue += 1;
-                self.trace(TraceKind::LossQueue);
                 self.span_drop(DropReason::LossQueue);
                 self.pool.put(pkt.into_buffer());
                 return;
@@ -852,7 +832,6 @@ impl<'a> Ctx<'a> {
             .any(|ev| matches!(ev.kind, TopoEventKind::Outage) && ev.window.contains(arrival_ns));
         if arrives_in_outage {
             self.stats.lost_outage += 1;
-            self.trace(TraceKind::LossOutage);
             self.span_drop(DropReason::LossOutage);
             self.pool.put(pkt.into_buffer());
             return;
@@ -881,14 +860,12 @@ impl<'a> Ctx<'a> {
     /// Count a routing-table miss (used by router agents).
     pub fn count_no_route(&mut self) {
         self.stats.no_route += 1;
-        self.trace(TraceKind::NoRoute);
         self.span_drop(DropReason::NoRoute);
     }
 
     /// Count a hop-limit expiry (used by router agents).
     pub fn count_ttl_expired(&mut self) {
         self.stats.ttl_expired += 1;
-        self.trace(TraceKind::TtlExpired);
         self.span_drop(DropReason::TtlExpired);
     }
 }
@@ -932,7 +909,7 @@ pub struct ShardLoad {
 }
 
 /// One shard: a contiguous slice of the node table with its own event
-/// queues, agents, clocks, RNG streams, stats, trace ring, and outgoing
+/// queues, agents, clocks, RNG streams, stats, span ring, and outgoing
 /// link state. A shard never touches another shard's state — cross-shard
 /// deliveries go through `outbox` and are exchanged at window barriers.
 pub(crate) struct ShardState {
@@ -958,7 +935,6 @@ pub(crate) struct ShardState {
     batch: Vec<QueuedEvent>,
     pub(crate) now: SimTime,
     pub(crate) stats: SimStats,
-    pub(crate) tracer: Tracer,
     pub(crate) spans: SpanRing,
     pub(crate) load: ShardLoad,
     link_busy: Vec<u64>,
@@ -998,7 +974,6 @@ impl ShardState {
             batch: Vec::new(),
             now: SimTime::ZERO,
             stats: SimStats::default(),
-            tracer: Tracer::new(config.trace_capacity),
             spans: SpanRing::new(config.span_capacity),
             load: ShardLoad {
                 shard: index as u64,
@@ -1176,8 +1151,6 @@ impl ShardState {
         };
         let node = shared.nodes.id(node_idx);
         let clock = self.clocks[local]; // tango-lint: allow(hot-path-panic) node_idx was validated by the agents lookup above
-        self.tracer
-            .begin_dispatch(key.time.as_ns(), key.origin, key.seq);
         self.spans
             .begin_dispatch(key.time.as_ns(), key.origin, key.seq);
         // The dispatch's own span key: derived from the canonical event
@@ -1203,7 +1176,6 @@ impl ShardState {
                 rng: &mut self.rngs[local],
                 fault: shared.fault,
                 stats: &mut self.stats,
-                tracer: &mut self.tracer,
                 spans: &mut self.spans,
                 dispatch_span,
                 out: &mut self.out_scratch,
@@ -1216,7 +1188,6 @@ impl ShardState {
             match kind {
                 EventKind::Deliver { pkt, .. } => {
                     ctx.stats.deliveries += 1;
-                    ctx.trace(TraceKind::Rx);
                     ctx.spans.record_dispatch(node.0, parent, SpanKind::Deliver);
                     agent.on_packet(&mut ctx, pkt);
                 }
@@ -1227,7 +1198,6 @@ impl ShardState {
                 }
                 EventKind::Timer { tag, .. } => {
                     ctx.stats.timers += 1;
-                    ctx.trace(TraceKind::Timer { tag });
                     // Lazy: recorded only if the handler emits a child
                     // span, so idle probe/control ticks stay off the ring.
                     ctx.spans
@@ -1413,15 +1383,9 @@ impl NetworkSim {
         &self.stats
     }
 
-    /// The trace ring, merged across shards into canonical key order.
-    pub fn tracer(&self) -> Tracer {
-        Tracer::merged(self.shards.iter().map(|s| &s.tracer))
-    }
-
     /// The causal span ring, merged across shards into canonical key
     /// order (the flight-recorder view; empty unless
-    /// [`SimConfig::span_capacity`] armed it and the `trace` feature is
-    /// on).
+    /// [`SimConfig::span_capacity`] armed it).
     pub fn spans(&self) -> SpanRing {
         SpanRing::merged(self.shards.iter().map(|s| &s.spans))
     }
@@ -1621,7 +1585,7 @@ mod tests {
         let mut sim = NetworkSim::new(
             line(),
             SimConfig {
-                trace_capacity: 64,
+                span_capacity: 64,
                 ..Default::default()
             },
         );
@@ -1659,13 +1623,13 @@ mod tests {
         assert_eq!(received.load(Ordering::SeqCst), 1);
         // Delivered after exactly 2 ms (two constant 1 ms hops).
         let rx_events: Vec<_> = sim
-            .tracer()
-            .events()
+            .spans()
+            .spans()
             .into_iter()
-            .filter(|e| e.kind == TraceKind::Rx && e.node == AsId(3))
+            .filter(|s| s.kind == SpanKind::Deliver && s.node == 3)
             .collect();
         assert_eq!(rx_events.len(), 1);
-        assert_eq!(rx_events[0].time, SimTime::from_ms(2));
+        assert_eq!(rx_events[0].key.time_ns, SimTime::from_ms(2).as_ns());
         assert_eq!(sim.stats().deliveries, 2); // at node 2 and node 3
         assert_eq!(sim.stats().transmissions, 2);
     }
@@ -1749,7 +1713,7 @@ mod tests {
                 t,
                 SimConfig {
                     seed,
-                    trace_capacity: 256,
+                    span_capacity: 256,
                     ..Default::default()
                 },
             );
@@ -1779,7 +1743,7 @@ mod tests {
                 );
             }
             sim.run_until(SimTime::from_secs(2));
-            sim.tracer().events()
+            sim.spans().spans()
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
@@ -1885,7 +1849,7 @@ mod tests {
         let mut sim = NetworkSim::new(
             t,
             SimConfig {
-                trace_capacity: 64,
+                span_capacity: 64,
                 ..Default::default()
             },
         );
@@ -1915,11 +1879,11 @@ mod tests {
         }
         sim.run_until(SimTime::from_secs(1));
         let arrivals: Vec<u64> = sim
-            .tracer()
-            .events()
+            .spans()
+            .spans()
             .into_iter()
-            .filter(|e| e.kind == TraceKind::Rx && e.node == AsId(2))
-            .map(|e| e.time.as_ns())
+            .filter(|s| s.kind == SpanKind::Deliver && s.node == 2)
+            .map(|s| s.key.time_ns)
             .collect();
         assert_eq!(arrivals.len(), 3);
         // 1 ms propagation + k × 100 µs serialization.
@@ -2139,7 +2103,6 @@ mod tests {
         assert!(sim.pooled_buffers() > 0);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_registry_mirrors_sim_counters() {
         let reg = Registry::new();
@@ -2195,7 +2158,6 @@ mod tests {
         assert!(snap.gauges.contains_key("sim.link.busy_ns.1-2"));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_link_busy_accumulates_on_capacity_links() {
         // 100 Mbit/s: a 1250 B packet occupies the wire for 100 µs.
@@ -2334,14 +2296,14 @@ mod tests {
 
     #[test]
     fn sharded_run_matches_single_shard() {
-        // The tentpole invariant in miniature: stats and traces must be
+        // The tentpole invariant in miniature: stats and spans must be
         // bit-identical across shard counts and execution modes.
         let run = |shards: usize, mode: ShardMode| {
             let mut sim = NetworkSim::new(
                 jittered_line(),
                 SimConfig {
                     seed: 42,
-                    trace_capacity: 4096,
+                    span_capacity: 4096,
                     shards,
                     shard_mode: mode,
                     ..Default::default()
@@ -2373,7 +2335,7 @@ mod tests {
                 );
             }
             let processed = sim.run_until(SimTime::from_secs(2));
-            (*sim.stats(), sim.tracer().events(), processed)
+            (*sim.stats(), sim.spans().spans(), processed)
         };
         let baseline = run(1, ShardMode::Serial);
         assert!(baseline.2 > 0, "baseline must process events");

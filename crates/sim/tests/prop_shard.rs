@@ -1,24 +1,33 @@
 //! Property-based equivalence of the sharded engine (DESIGN.md §11):
 //! for random small topologies, workloads, and seeds, running the same
 //! simulation under 1 shard, N shards serial, and N shards threaded
-//! produces identical `SimStats`, identical canonical traces, and an
-//! identical observability export.
+//! produces identical `SimStats`, identical canonical span streams, and
+//! an identical observability export — and the span stream, the
+//! simulator's one event recorder, accounts for every transmission,
+//! delivery and drop the counters record.
 //!
 //! The agents here are deliberately rng-hungry relays — every delivery
 //! draws from the node's stream to pick the next hop — so any slip in
 //! the per-node RNG derivation, the conservative window math, or the
-//! barrier merge order shows up as a diverging trace within a few hops.
+//! barrier merge order shows up as a diverging stream within a few hops.
+//! Every world is lossy (link loss plus a fault injector that drops and
+//! corrupts), so the drop arms are exercised too.
 
 use proptest::prelude::*;
 use rand::Rng;
 use tango_obs::Registry;
 use tango_sim::{
-    Agent, Ctx, NetworkSim, Packet, ShardMode, SimConfig, SimStats, SimTime, TraceEvent,
+    Agent, Ctx, DropReason, FaultInjector, NetworkSim, Packet, ShardMode, SimConfig, SimStats,
+    SimTime, Span, SpanKind,
 };
 use tango_topology::{AsId, AsKind, AsNode, DirectionProfile, JitterModel, LinkProfile, Topology};
 
 /// First AS id; nodes are `BASE_ID..BASE_ID + n`.
 const BASE_ID: u32 = 100;
+
+/// Span ring capacity per shard: large enough that no generated world
+/// wraps it (checked in [`run`]), so the merged stream is exact.
+const SPAN_CAPACITY: usize = 1 << 14;
 
 /// One generated world: a ring of `n` nodes (always connected) plus
 /// random chords, each hop with its own delay and optional jitter.
@@ -35,6 +44,8 @@ struct World {
     injections: Vec<(u64, usize, u8, u8)>,
     /// (at_ms, node index, timer tag)
     timers: Vec<(u64, usize, u64)>,
+    /// (fault drop chance, fault corrupt chance, per-link loss rate)
+    lossy: (f64, f64, f64),
 }
 
 fn world_strategy() -> impl Strategy<Value = World> {
@@ -45,15 +56,19 @@ fn world_strategy() -> impl Strategy<Value = World> {
         proptest::collection::vec(any::<bool>(), 16),
         proptest::collection::vec((1u64..40, 0usize..8, 1u8..5, any::<u8>()), 1..10),
         proptest::collection::vec((1u64..40, 0usize..8, any::<u64>()), 0..6),
+        (0.05f64..0.3, 0.0f64..0.1, 0.0f64..0.1),
     )
-        .prop_map(|(n, chords, delays_ns, jitter, injections, timers)| World {
-            n,
-            chords,
-            delays_ns,
-            jitter,
-            injections,
-            timers,
-        })
+        .prop_map(
+            |(n, chords, delays_ns, jitter, injections, timers, lossy)| World {
+                n,
+                chords,
+                delays_ns,
+                jitter,
+                injections,
+                timers,
+                lossy,
+            },
+        )
 }
 
 fn build_topology(w: &World) -> Topology {
@@ -72,7 +87,7 @@ fn build_topology(w: &World) -> Topology {
         if w.jitter[edge % w.jitter.len()] {
             p = p.with_jitter(JitterModel::Uniform { range_ns: 100_000 });
         }
-        LinkProfile::symmetric(p)
+        LinkProfile::symmetric(p.with_loss(w.lossy.2))
     };
     for i in 0..w.n {
         let j = (i + 1) % w.n;
@@ -139,23 +154,18 @@ impl Agent for RelayAgent {
     }
 }
 
-fn run(
-    w: &World,
-    seed: u64,
-    shards: usize,
-    mode: ShardMode,
-) -> (SimStats, Vec<TraceEvent>, String) {
+fn run(w: &World, seed: u64, shards: usize, mode: ShardMode) -> (SimStats, Vec<Span>, String) {
     let topology = build_topology(w);
     let registry = Registry::default();
     let mut sim = NetworkSim::new(
         topology.clone(),
         SimConfig {
             seed,
-            trace_capacity: 1 << 14,
+            span_capacity: SPAN_CAPACITY,
+            fault: Some(FaultInjector::new(w.lossy.0, w.lossy.1)),
             shards,
             shard_mode: mode,
             obs: Some(registry.clone()),
-            ..SimConfig::default()
         },
     );
     for node in topology.nodes() {
@@ -177,30 +187,66 @@ fn run(
         );
     }
     sim.run_until(SimTime::from_ms(200));
-    (
-        *sim.stats(),
-        sim.tracer().events(),
-        registry.snapshot().to_json(),
-    )
+    let ring = sim.spans();
+    let spans = ring.spans();
+    assert_eq!(
+        ring.total_recorded(),
+        spans.len() as u64,
+        "span ring wrapped; raise SPAN_CAPACITY"
+    );
+    (*sim.stats(), spans, registry.snapshot().to_json())
+}
+
+/// The counters a span stream reproduces: one `Tx` span per
+/// transmission, one `Deliver` span per delivery, one `Drop` span per
+/// drop-counter increment. `corrupted` and `timers` have no one-to-one
+/// span (corruption is not a span kind; idle timers are elided), so they
+/// are copied from `stats`.
+fn span_tally(spans: &[Span], stats: &SimStats) -> SimStats {
+    let mut t = SimStats {
+        corrupted: stats.corrupted,
+        timers: stats.timers,
+        ..SimStats::default()
+    };
+    for s in spans {
+        let counter = match s.kind {
+            SpanKind::Tx { .. } => &mut t.transmissions,
+            SpanKind::Deliver => &mut t.deliveries,
+            SpanKind::Drop { reason } => match reason {
+                DropReason::NoLink => &mut t.no_link,
+                DropReason::LossLink => &mut t.lost_link,
+                DropReason::LossOutage => &mut t.lost_outage,
+                DropReason::LossFault => &mut t.lost_fault,
+                DropReason::LossQueue => &mut t.lost_queue,
+                DropReason::NoRoute => &mut t.no_route,
+                DropReason::TtlExpired => &mut t.ttl_expired,
+            },
+            _ => continue,
+        };
+        *counter += 1;
+    }
+    t
 }
 
 proptest! {
     /// The tentpole property: shard count and execution mode are
-    /// unobservable. Stats, trace, and telemetry are bit-identical.
+    /// unobservable. Stats, spans, and telemetry are bit-identical, and
+    /// the span stream misses no counted event.
     #[test]
     fn sharding_is_unobservable(
         w in world_strategy(),
         seed in any::<u64>(),
         shards in 2usize..=4,
     ) {
-        let (stats1, trace1, obs1) = run(&w, seed, 1, ShardMode::Serial);
-        let (stats_s, trace_s, obs_s) = run(&w, seed, shards, ShardMode::Serial);
-        let (stats_t, trace_t, obs_t) = run(&w, seed, shards, ShardMode::Threaded);
+        let (stats1, spans1, obs1) = run(&w, seed, 1, ShardMode::Serial);
+        let (stats_s, spans_s, obs_s) = run(&w, seed, shards, ShardMode::Serial);
+        let (stats_t, spans_t, obs_t) = run(&w, seed, shards, ShardMode::Threaded);
 
+        prop_assert_eq!(span_tally(&spans1, &stats1), stats1, "spans miss counted events");
         prop_assert_eq!(stats1, stats_s, "serial multi-shard stats diverged");
         prop_assert_eq!(stats1, stats_t, "threaded multi-shard stats diverged");
-        prop_assert_eq!(&trace1, &trace_s, "serial multi-shard trace diverged");
-        prop_assert_eq!(&trace1, &trace_t, "threaded multi-shard trace diverged");
+        prop_assert_eq!(&spans1, &spans_s, "serial multi-shard spans diverged");
+        prop_assert_eq!(&spans1, &spans_t, "threaded multi-shard spans diverged");
         prop_assert_eq!(&obs1, &obs_s, "serial multi-shard telemetry diverged");
         prop_assert_eq!(&obs1, &obs_t, "threaded multi-shard telemetry diverged");
     }

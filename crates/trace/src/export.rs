@@ -123,6 +123,52 @@ pub fn digest64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// FNV-1a folded word-wise over a key-sorted span stream: every key,
+/// parent, node and kind payload enters as a `u64`. The fingerprint the
+/// replica-mesh and N-PoP traffic digests carry; an empty stream hashes
+/// to the FNV offset basis.
+pub fn stream_digest(spans: &[Span]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x1_0000_01b3);
+    };
+    for s in spans {
+        for k in [s.key, s.parent] {
+            mix(k.time_ns);
+            mix(u64::from(k.origin));
+            mix(k.seq);
+            mix(u64::from(k.intra));
+        }
+        mix(u64::from(s.node));
+        for w in kind_words(&s.kind) {
+            mix(w);
+        }
+    }
+    h
+}
+
+/// A span kind as `[code, payload…]`, unused payload words zero.
+fn kind_words(kind: &SpanKind) -> [u64; 4] {
+    match *kind {
+        SpanKind::Deliver => [0, 0, 0, 0],
+        SpanKind::HostInject => [1, 0, 0, 0],
+        SpanKind::Timer { tag } => [2, tag, 0, 0],
+        SpanKind::Tx { to } => [3, u64::from(to), 0, 0],
+        SpanKind::Drop { reason } => [4, reason as u64, 0, 0],
+        SpanKind::Encap { path, payload } => [5, u64::from(path), u64::from(payload), 0],
+        SpanKind::Decap { path } => [6, u64::from(path), 0, 0],
+        SpanKind::RxReject { reason } => [7, u64::from(reason), 0, 0],
+        SpanKind::BgpUpdate { path, announce } => [8, u64::from(path), u64::from(announce), 0],
+        SpanKind::HealthTransition { path, from, to } => {
+            [9, u64::from(path), u64::from(from), u64::from(to)]
+        }
+        SpanKind::Reroute { path } => [10, u64::from(path), 0, 0],
+        SpanKind::Control { step, path } => [11, u64::from(step), u64::from(path), 0],
+        SpanKind::InvariantViolation { path, state } => [12, u64::from(path), u64::from(state), 0],
+    }
+}
+
 fn key_id(k: &SpanKey) -> u64 {
     let mut bytes = [0u8; 24];
     bytes[..8].copy_from_slice(&k.time_ns.to_le_bytes());
@@ -291,5 +337,22 @@ mod tests {
     fn digest_is_stable() {
         assert_eq!(digest64(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(digest64(b"a"), digest64(b"b"));
+    }
+
+    #[test]
+    fn stream_digest_covers_every_field() {
+        assert_eq!(stream_digest(&[]), 0xcbf2_9ce4_8422_2325);
+        let base = spans();
+        let h = stream_digest(&base);
+        assert_eq!(h, stream_digest(&spans()), "pure function of the stream");
+        let mut moved = spans();
+        moved[2].kind = SpanKind::Drop {
+            reason: DropReason::NoRoute,
+        };
+        assert_ne!(stream_digest(&moved), h, "drop reason matters");
+        let mut reparented = spans();
+        reparented[1].parent = SpanKey::NONE;
+        assert_ne!(stream_digest(&reparented), h, "parent matters");
+        assert_ne!(stream_digest(&base[..2]), h, "length matters");
     }
 }

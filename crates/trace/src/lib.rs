@@ -16,10 +16,11 @@
 //! shard layout, worker count, or realized execution interleaving. Every
 //! shard records into its own [`SpanRing`]; [`SpanRing::merged`] unions
 //! the rings and sorts by key, reproducing the exact stream a
-//! single-shard run records (rings that never wrap merge exactly, like
-//! `tango-sim`'s trace ring). The exporters ([`export`]) render that
-//! stream as canonical JSON and as Chrome `trace_event` JSON, so trace
-//! artifacts byte-diff across runs, `--workers`, and `--shards`.
+//! single-shard run records (rings that never wrap merge exactly). The
+//! exporters ([`export`]) render that stream as canonical JSON and as
+//! Chrome `trace_event` JSON, so trace artifacts byte-diff across runs,
+//! `--workers`, and `--shards`; [`export::stream_digest`] folds it into
+//! one `u64` fingerprint.
 //!
 //! ## Flight recording
 //!
@@ -27,26 +28,14 @@
 //! degrades into a *flight recorder* holding the last-N spans, which
 //! invariant violations and chaos faults dump for post-mortem causal
 //! analysis (see `tango::pairing`).
-//!
-//! ## Feature gate
-//!
-//! With the `enabled` feature (default) recording is live. Without it
-//! [`SpanRing`] is a zero-sized no-op — instrumented code compiles
-//! unchanged and the hot path carries nothing. The data types and the
-//! exporters are available either way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod export;
 pub mod query;
+mod ring;
 mod span;
-
-#[cfg(feature = "enabled")]
-mod ring;
-#[cfg(not(feature = "enabled"))]
-#[path = "ring_noop.rs"]
-mod ring;
 
 pub use ring::SpanRing;
 pub use span::{DropReason, Span, SpanKey, SpanKind};

@@ -1,7 +1,6 @@
-//! The span flight-recorder ring (live implementation, `enabled` on).
+//! The span flight-recorder ring: the simulator's one event recorder.
 //!
-//! Mirrors `tango-sim`'s trace ring: fixed capacity, overwrite-oldest,
-//! key-ordered merge across shards. Capacity 0 records nothing (the
+//! Fixed capacity, overwrite-oldest, key-ordered merge across shards. Capacity 0 records nothing (the
 //! default), so the instrumentation costs one branch when disarmed.
 //!
 //! This module is on the span-emission path: the `span-alloc` tango-lint
@@ -152,8 +151,7 @@ impl SpanRing {
         }
     }
 
-    /// Retained spans in canonical (key) order. Like the trace ring,
-    /// canonical key order — not realized recording order — defines the
+    /// Retained spans in canonical (key) order. Canonical key order — not realized recording order — defines the
     /// output, which is what makes it shard-invariant.
     pub fn spans(&self) -> Vec<Span> {
         let mut sorted = self.entries.clone();
@@ -164,8 +162,8 @@ impl SpanRing {
     /// Merge per-shard rings into one canonical ring: union the retained
     /// spans, sort by key, keep the most-recent `capacity`. Exact (equal
     /// to a single-shard run) whenever no ring wrapped; a wrapping
-    /// same-timestamp cluster can shift the eviction boundary, exactly
-    /// like `tango-sim`'s trace merge.
+    /// same-timestamp cluster can shift the eviction boundary (each ring
+    /// evicts by its own realized order).
     pub fn merged<'a>(parts: impl IntoIterator<Item = &'a SpanRing>) -> SpanRing {
         let mut capacity = 0usize;
         let mut total = 0u64;
@@ -258,6 +256,35 @@ mod tests {
         assert_eq!(spans[0].key.time_ns, 3);
         assert_eq!(spans[1].key.time_ns, 4);
         assert_eq!(r.total_recorded(), 5);
+    }
+
+    #[test]
+    fn under_capacity_keeps_all() {
+        let mut r = SpanRing::new(10);
+        r.begin_dispatch(1, 1, 1);
+        r.record_dispatch(7, SpanKey::NONE, SpanKind::Deliver);
+        r.record(7, SpanKind::Tx { to: 8 });
+        assert_eq!(r.spans().len(), 2);
+        assert_eq!(r.total_recorded(), 2);
+    }
+
+    #[test]
+    fn spans_sort_by_key_not_arrival() {
+        // Two dispatches recorded out of canonical order (as happens when
+        // a same-timestamp cluster realizes in non-key order): spans()
+        // must present them in key order.
+        let mut r = SpanRing::new(10);
+        r.begin_dispatch(5, 3, 1);
+        r.record_dispatch(7, SpanKey::NONE, SpanKind::Deliver);
+        r.begin_dispatch(5, 1, 9);
+        r.record_dispatch(8, SpanKey::NONE, SpanKind::Deliver);
+        r.record(8, SpanKind::Tx { to: 9 });
+        let keys: Vec<(u32, u64, u32)> = r
+            .spans()
+            .iter()
+            .map(|s| (s.key.origin, s.key.seq, s.key.intra))
+            .collect();
+        assert_eq!(keys, vec![(1, 9, 0), (1, 9, 1), (3, 1, 0)]);
     }
 
     #[test]
